@@ -1,15 +1,14 @@
 #include "campaign/journal.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "trace/trace.hpp"
-#include "util/error.hpp"
 
 namespace pv::campaign {
 namespace {
 
-constexpr std::uint8_t kHeaderKind = 1;
 constexpr std::uint8_t kCellKind = 2;
 constexpr std::uint8_t kAttemptKind = 3;
 
@@ -21,28 +20,11 @@ using resilience::put_u32;
 using resilience::put_u64;
 using resilience::put_u8;
 
-std::string encode_header_payload(const CampaignJournalHeader& header) {
-    std::string payload;
-    put_u32(payload, header.version);
-    put_u64(payload, header.config_hash);
-    put_u64(payload, header.seed);
-    put_u64(payload, header.cells);
-    return payload;
-}
-
-CampaignJournalHeader decode_header_payload(std::string_view payload) {
-    PayloadReader r(payload);
-    CampaignJournalHeader header;
-    header.version = r.u32();
-    header.config_hash = r.u64();
-    header.seed = r.u64();
-    header.cells = r.u64();
-    if (!r.ok() || !r.exhausted())
-        throw JournalError("malformed campaign journal header payload");
-    if (header.version != 1)
-        throw JournalError("unsupported campaign journal version " +
-                           std::to_string(header.version));
-    return header;
+std::string encode_header_tail(const CampaignJournalHeader& header) {
+    std::string tail;
+    put_u64(tail, header.seed);
+    put_u64(tail, header.cells);
+    return tail;
 }
 
 void encode_metrics(std::string& payload, const trace::MetricsSnapshot& metrics) {
@@ -59,7 +41,7 @@ void encode_metrics(std::string& payload, const trace::MetricsSnapshot& metrics)
     }
 }
 
-bool decode_metrics(PayloadReader& r, trace::MetricsSnapshot& metrics) {
+void decode_metrics(PayloadReader& r, trace::MetricsSnapshot& metrics) {
     const std::uint32_t entries = r.u32();
     for (std::uint32_t i = 0; i < entries && r.ok(); ++i) {
         const std::string name = r.str_lp();
@@ -67,18 +49,15 @@ bool decode_metrics(PayloadReader& r, trace::MetricsSnapshot& metrics) {
         v.kind = static_cast<trace::MetricValue::Kind>(r.u8());
         v.count = r.u64();
         v.value = r.f64();
-        const std::uint32_t n_bounds = r.u32();
-        if (!r.ok()) return false;
+        const std::uint32_t n_bounds = r.u32();  // 0 once a read has failed
         v.bounds.reserve(n_bounds);
         for (std::uint32_t b = 0; b < n_bounds && r.ok(); ++b) v.bounds.push_back(r.f64());
         const std::uint32_t n_buckets = r.u32();
-        if (!r.ok()) return false;
         v.buckets.reserve(n_buckets);
         for (std::uint32_t b = 0; b < n_buckets && r.ok(); ++b)
             v.buckets.push_back(r.u64());
         metrics.set(name, std::move(v));
     }
-    return r.ok();
 }
 
 std::string encode_attempt_payload(std::uint64_t cell_index,
@@ -88,31 +67,6 @@ std::string encode_attempt_payload(std::uint64_t cell_index,
     put_u32(payload, attempts_failed);
     return payload;
 }
-
-bool decode_attempt_payload(std::string_view payload, std::uint64_t& cell_index,
-                            std::uint32_t& attempts_failed) {
-    PayloadReader r(payload);
-    cell_index = r.u64();
-    attempts_failed = r.u32();
-    return r.ok() && r.exhausted();
-}
-
-FrameLog::Kinds journal_kinds() {
-    return FrameLog::Kinds{kHeaderKind, {kCellKind, kAttemptKind}};
-}
-
-bool validate_frame(std::uint8_t kind, std::string_view payload) {
-    if (kind == kHeaderKind) return true;  // header decode errors throw in resume
-    if (kind == kAttemptKind) {
-        std::uint64_t index = 0;
-        std::uint32_t failed = 0;
-        return decode_attempt_payload(payload, index, failed);
-    }
-    CampaignCellResult cell;
-    return decode_cell_payload(payload, cell);
-}
-
-}  // namespace
 
 std::string encode_cell_payload(const CampaignCellResult& cell) {
     std::string payload;
@@ -158,9 +112,8 @@ std::string encode_cell_payload(const CampaignCellResult& cell) {
     return payload;
 }
 
-bool decode_cell_payload(std::string_view payload, CampaignCellResult& cell) {
-    PayloadReader r(payload);
-    cell = CampaignCellResult{};
+/// Decode a cell payload; the caller checks r.done() before using it.
+void decode_cell(PayloadReader& r, CampaignCellResult& cell) {
     cell.spec.index = static_cast<std::size_t>(r.u64());
     cell.spec.attack = static_cast<AttackKind>(r.u8());
     cell.spec.defense = static_cast<DefenseKind>(r.u8());
@@ -199,36 +152,47 @@ bool decode_cell_payload(std::string_view payload, CampaignCellResult& cell) {
     cell.attempts = r.u32();
     cell.machine_rebuilds = r.u32();
     cell.verdict = r.str_lp();
-    if (!decode_metrics(r, cell.metrics)) return false;
-    return r.ok() && r.exhausted();
+    decode_metrics(r, cell.metrics);
 }
 
-CampaignJournal::CampaignJournal(std::string path, CampaignJournalHeader header,
-                                 resilience::JournalOptions options)
-    : log_(std::move(path), journal_kinds(), encode_header_payload(header), options),
-      header_(header) {}
+}  // namespace
 
-CampaignJournal::CampaignJournal(resilience::FrameLog&& log) : log_(std::move(log)) {
-    header_ = decode_header_payload(log_.header_payload());
-    for (const FrameLog::Frame& f : log_.frames()) {
-        if (f.kind == kCellKind) {
+CampaignJournal::CampaignJournal(const std::string& path,
+                                 const CampaignJournalHeader& header)
+    : header_(header),
+      log_(FrameLog::open(path, header.config_hash, encode_header_tail(header),
+                          std::bind_front(&CampaignJournal::replay, this))) {
+    header_.config_hash = log_.config_hash();
+}
+
+bool CampaignJournal::replay(std::uint8_t kind, PayloadReader& r) {
+    MutexLock lock(mutex_);
+    switch (kind) {
+        case resilience::kHeaderKind: {
+            const std::uint64_t seed = r.u64();
+            const std::uint64_t cells = r.u64();
+            if (!r.done()) return false;
+            header_.seed = seed;
+            header_.cells = cells;
+            return true;
+        }
+        case kCellKind: {
             CampaignCellResult cell;
-            (void)decode_cell_payload(f.payload, cell);  // validated during replay
+            decode_cell(r, cell);
+            if (!r.done()) return false;
             cells_.push_back(std::move(cell));
-        } else {
-            std::uint64_t index = 0;
-            std::uint32_t failed = 0;
-            decode_attempt_payload(f.payload, index, failed);
+            return true;
+        }
+        case kAttemptKind: {
+            const std::uint64_t index = r.u64();
+            const std::uint32_t failed = r.u32();
+            if (!r.done()) return false;
             std::uint32_t& slot = attempts_[index];
             slot = std::max(slot, failed);
+            return true;
         }
+        default: return false;
     }
-}
-
-CampaignJournal CampaignJournal::resume(const std::string& path,
-                                        resilience::JournalOptions options) {
-    return CampaignJournal(
-        FrameLog::resume(path, journal_kinds(), options, validate_frame));
 }
 
 void CampaignJournal::commit_cell(const CampaignCellResult& cell) {
@@ -261,31 +225,6 @@ std::uint32_t CampaignJournal::attempts_failed(std::uint64_t cell_index) const {
 bool CampaignJournal::tail_dropped() const {
     MutexLock lock(mutex_);
     return log_.tail_dropped();
-}
-
-std::string CampaignJournal::path() const {
-    MutexLock lock(mutex_);
-    return log_.path();
-}
-
-std::uint64_t CampaignJournal::commits() const {
-    MutexLock lock(mutex_);
-    return log_.commits();
-}
-
-std::uint64_t CampaignJournal::bytes_written() const {
-    MutexLock lock(mutex_);
-    return log_.bytes_written();
-}
-
-std::uint64_t CampaignJournal::logical_bytes() const {
-    MutexLock lock(mutex_);
-    return log_.logical_bytes();
-}
-
-std::uint64_t CampaignJournal::io_retries() const {
-    MutexLock lock(mutex_);
-    return log_.io_retries();
 }
 
 }  // namespace pv::campaign

@@ -4,7 +4,7 @@
 // durable; a campaign cube is the same crash-surface one level up — a
 // full quick cube is hundreds of cells, each a multi-attempt attack
 // run, and the daemon re-runs cubes continuously.  This journal extends
-// the WAL to CELL granularity on the shared CRC framing (FrameLog):
+// the WAL to CELL granularity on the shared record log (FrameLog):
 //
 //   file    := header-frame (cell-frame | attempt-frame)*
 //   header  := version:u32  config_hash:u64  seed:u64  cells:u64  (kind 1)
@@ -35,7 +35,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "campaign/campaign.hpp"
@@ -50,7 +49,6 @@ namespace pv::campaign {
 /// does not match (adopting cells run under a different cube, tuning or
 /// fault plan would silently corrupt the report).
 struct CampaignJournalHeader {
-    std::uint32_t version = 1;
     std::uint64_t config_hash = 0;
     std::uint64_t seed = 0;
     std::uint64_t cells = 0;  ///< cube size, |attacks|·|defenses|·|profiles|
@@ -59,30 +57,22 @@ struct CampaignJournalHeader {
                            const CampaignJournalHeader&) = default;
 };
 
-/// Cell-result codec, exposed for the round-trip property tests.  The
-/// payload carries every field campaign::fingerprint() mixes, doubles
-/// as bit patterns — decode(encode(cell)) has an equal fingerprint.
-[[nodiscard]] std::string encode_cell_payload(const CampaignCellResult& cell);
-[[nodiscard]] bool decode_cell_payload(std::string_view payload,
-                                       CampaignCellResult& cell);
-
 /// The campaign WAL.  One instance owns one file.  commit_cell and
 /// commit_attempt are thread-safe (sharded runs commit attempt frames
 /// from pool workers); the read accessors snapshot under the same lock.
 class CampaignJournal {
 public:
-    /// Start a fresh journal at `path` (truncating any previous file).
-    CampaignJournal(std::string path, CampaignJournalHeader header,
-                    resilience::JournalOptions options = {});
-
-    /// Reopen an existing journal: replay its cells and attempt counts,
-    /// scrub any torn tail, and position for further commits.  Throws
-    /// JournalError when the file has no valid header.
-    [[nodiscard]] static CampaignJournal resume(const std::string& path,
-                                                resilience::JournalOptions options = {});
+    /// Open the journal at `path`.  An existing file is resumed: its
+    /// cells and attempt counts are replayed and any torn tail is
+    /// scrubbed.  Throws JournalError when it has no valid header and
+    /// ConfigError when it was written under another config_hash.  A
+    /// missing file starts a fresh journal with `header`.
+    CampaignJournal(const std::string& path, const CampaignJournalHeader& header);
 
     /// Make one completed cell durable (write-ahead: the engine commits
-    /// BEFORE reporting the cell).
+    /// BEFORE reporting the cell).  The cell payload carries every field
+    /// campaign::fingerprint() mixes, doubles as bit patterns, so a
+    /// replayed cell has the committed cell's fingerprint.
     void commit_cell(const CampaignCellResult& cell);
 
     /// Record that `attempts_failed` attempts of cell `cell_index` have
@@ -97,21 +87,17 @@ public:
     /// Journaled dead-attempt count for one cell (0 when none recorded).
     [[nodiscard]] std::uint32_t attempts_failed(std::uint64_t cell_index) const;
 
+    /// True when opening dropped a torn tail.
     [[nodiscard]] bool tail_dropped() const;
-    [[nodiscard]] std::string path() const;
-    [[nodiscard]] std::uint64_t commits() const;
-    [[nodiscard]] std::uint64_t bytes_written() const;
-    [[nodiscard]] std::uint64_t logical_bytes() const;
-    [[nodiscard]] std::uint64_t io_retries() const;
 
 private:
-    explicit CampaignJournal(resilience::FrameLog&& log);  // resume body
+    bool replay(std::uint8_t kind, resilience::PayloadReader& payload);
 
     mutable Mutex mutex_;
-    resilience::FrameLog log_ PV_GUARDED_BY(mutex_);
     CampaignJournalHeader header_;  // immutable after construction
     std::vector<CampaignCellResult> cells_ PV_GUARDED_BY(mutex_);
     FlatMap<std::uint64_t, std::uint32_t> attempts_ PV_GUARDED_BY(mutex_);
+    resilience::FrameLog log_ PV_GUARDED_BY(mutex_);  // last: its replay fills the above
 };
 
 }  // namespace pv::campaign

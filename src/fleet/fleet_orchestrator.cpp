@@ -148,11 +148,6 @@ PopulationEnvelope FleetOrchestrator::characterize(resilience::SweepJournal& jou
     return run_fleet(&journal, progress);
 }
 
-PopulationEnvelope FleetOrchestrator::resume(resilience::SweepJournal& journal,
-                                             const UnitProgress& progress) {
-    return run_fleet(&journal, progress);
-}
-
 PopulationEnvelope FleetOrchestrator::run_fleet(resilience::SweepJournal* journal,
                                                 const UnitProgress& progress) {
     stats_ = {};

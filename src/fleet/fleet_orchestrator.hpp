@@ -84,17 +84,12 @@ public:
     /// Characterize the whole fleet (no durability).
     [[nodiscard]] PopulationEnvelope characterize(const UnitProgress& progress = {});
 
-    /// Journaled fleet run; adopts journaled rows, commits fresh rows
-    /// write-ahead.  Throws ConfigError when the journal's config_hash
-    /// does not match, JournalError when a row does not belong to this
-    /// fleet.
+    /// Journaled fleet run; adopts journaled rows (so a journal recovered
+    /// after a crash resumes here), commits fresh rows write-ahead.
+    /// Throws ConfigError when the journal's config_hash does not match,
+    /// JournalError when a row does not belong to this fleet.
     [[nodiscard]] PopulationEnvelope characterize(resilience::SweepJournal& journal,
                                                   const UnitProgress& progress = {});
-
-    /// Semantic alias of the journaled characterize() for recovery call
-    /// sites.
-    [[nodiscard]] PopulationEnvelope resume(resilience::SweepJournal& journal,
-                                            const UnitProgress& progress = {});
 
     /// One unit characterized cold (no warm start, no fleet) — the
     /// reference the differential tests compare fleet maps against.

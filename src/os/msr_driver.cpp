@@ -156,28 +156,6 @@ MsrWriteResult MsrDriver::try_ioctl_wrmsr(unsigned caller_cpu, unsigned target_c
     return try_wrmsr(caller_cpu, target_cpu, addr, value);
 }
 
-std::uint64_t MsrDriver::rdmsr(unsigned caller_cpu, unsigned target_cpu,
-                               std::uint32_t addr) {
-    const MsrReadResult r = try_rdmsr(caller_cpu, target_cpu, addr);
-    if (r.status != MsrStatus::Ok) throw DriverError(describe("rdmsr", addr, r.status));
-    return r.value;
-}
-
-bool MsrDriver::wrmsr(unsigned caller_cpu, unsigned target_cpu, std::uint32_t addr,
-                      std::uint64_t value) {
-    const MsrWriteResult r = try_wrmsr(caller_cpu, target_cpu, addr, value);
-    if (r.status != MsrStatus::Ok) throw DriverError(describe("wrmsr", addr, r.status));
-    return r.applied;
-}
-
-std::uint64_t MsrDriver::ioctl_rdmsr(unsigned caller_cpu, unsigned target_cpu,
-                                     std::uint32_t addr) {
-    const MsrReadResult r = try_ioctl_rdmsr(caller_cpu, target_cpu, addr);
-    if (r.status != MsrStatus::Ok)
-        throw DriverError(describe("ioctl rdmsr", addr, r.status));
-    return r.value;
-}
-
 bool MsrDriver::ioctl_wrmsr(unsigned caller_cpu, unsigned target_cpu, std::uint32_t addr,
                             std::uint64_t value) {
     const MsrWriteResult r = try_ioctl_wrmsr(caller_cpu, target_cpu, addr, value);

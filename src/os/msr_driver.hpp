@@ -11,9 +11,10 @@
 // device, IPI timeouts, stale status reads, a busy OCM mailbox.  The
 // try_* API surfaces those as MsrStatus values (domain outcomes are
 // values, never exceptions) and a resilience::FaultInjector can be
-// attached to produce them deterministically; the legacy throwing API
-// wraps try_* and raises DriverError.  With no injector attached every
-// access is bit-for-bit the pre-injection fast path.
+// attached to produce them deterministically; ioctl_wrmsr, the throwing
+// write the attack PoCs issue, wraps try_ioctl_wrmsr and raises
+// DriverError.  With no injector attached every access is bit-for-bit
+// the pre-injection fast path.
 #pragma once
 
 #include <cstdint>
@@ -107,14 +108,8 @@ public:
     MsrWriteResult try_ioctl_wrmsr(unsigned caller_cpu, unsigned target_cpu,
                                    std::uint32_t addr, std::uint64_t value);
 
-    /// Legacy throwing API: same accesses, but a non-Ok status raises
-    /// DriverError.  Unchanged behaviour when no injector is attached.
-    [[nodiscard]] std::uint64_t rdmsr(unsigned caller_cpu, unsigned target_cpu,
-                                      std::uint32_t addr);
-    bool wrmsr(unsigned caller_cpu, unsigned target_cpu, std::uint32_t addr,
-               std::uint64_t value);
-    [[nodiscard]] std::uint64_t ioctl_rdmsr(unsigned caller_cpu, unsigned target_cpu,
-                                            std::uint32_t addr);
+    /// try_ioctl_wrmsr for callers with no fault handling: a non-Ok
+    /// status raises DriverError.  Returns whether the write applied.
     bool ioctl_wrmsr(unsigned caller_cpu, unsigned target_cpu, std::uint32_t addr,
                      std::uint64_t value);
 

@@ -365,12 +365,6 @@ SafeStateMap ParallelCharacterizer::characterize(
     return run_sweep(&journal, progress);
 }
 
-SafeStateMap ParallelCharacterizer::resume(
-    resilience::SweepJournal& journal,
-    const std::function<void(const FreqCharacterization&)>& progress) {
-    return run_sweep(&journal, progress);
-}
-
 SafeStateMap ParallelCharacterizer::characterize_with(
     const std::vector<resilience::RowRecord>& adopted,
     const std::function<void(const resilience::RowRecord&)>& commit,

@@ -221,12 +221,6 @@ public:
         resilience::SweepJournal& journal,
         const std::function<void(const FreqCharacterization&)>& progress = {});
 
-    /// Semantic alias of the journaled characterize() for the recovery
-    /// call site: resume a sweep from a journal recovered off disk.
-    [[nodiscard]] SafeStateMap resume(
-        resilience::SweepJournal& journal,
-        const std::function<void(const FreqCharacterization&)>& progress = {});
-
     /// Durability-agnostic sweep: rows in `adopted` (keyed by row_index
     /// into this sweep's frequency table) are taken verbatim instead of
     /// re-probed, and every freshly computed row is handed to `commit`

@@ -29,8 +29,9 @@ struct FreqCharacterization {
     Megahertz freq;
     /// Shallowest offset with observable faults; 0 when `fault_free`.
     Millivolts onset;
-    /// Offset at which the machine crashed; equals the sweep floor when
-    /// no crash was reached.
+    /// Offset at which the machine crashed.  A column that never
+    /// crashed stores Characterizer::no_crash_sentinel(): one offset
+    /// step below the sweep floor, so no swept offset classifies Crash.
     Millivolts crash;
     /// True if the whole sweep depth showed no faults at this frequency.
     bool fault_free = false;

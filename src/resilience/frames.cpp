@@ -1,6 +1,5 @@
 #include "resilience/frames.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <fstream>
 #include <utility>
@@ -9,13 +8,14 @@
 #include "trace/trace.hpp"
 #include "util/error.hpp"
 #include "util/fsio.hpp"
-#include "util/rng.hpp"
 
 namespace pv::resilience {
 namespace {
 
 constexpr char kMagic0 = 'P';
 constexpr char kMagic1 = 'V';
+/// The header-prefix version every log format writes and resume accepts.
+constexpr std::uint32_t kLogVersion = 1;
 
 }  // namespace
 
@@ -96,69 +96,74 @@ ScannedFrame scan_frame(std::string_view bytes) {
     return f;
 }
 
-const char* to_string(CommitMode mode) {
-    switch (mode) {
-        case CommitMode::Append: return "append";
-        case CommitMode::AtomicRewrite: return "atomic-rewrite";
-    }
-    return "?";
+FrameLog::FrameLog(std::string path, JournalOptions options)
+    : path_(std::move(path)), options_(options) {
+    options_.io_retry.validate();
 }
 
-FrameLog::FrameLog(std::string path, Kinds kinds, const std::string& header_payload,
-                   JournalOptions options)
-    : path_(std::move(path)),
-      kinds_(std::move(kinds)),
-      options_(options),
-      header_payload_(header_payload) {
-    options_.io_retry.validate();
-    // The initial image is written unconditionally (creating the log is
-    // the caller's decision to start a run, not a mid-run commit),
-    // atomically in both modes so a half-written header can never exist.
-    content_ = encode_frame(kinds_.header, header_payload_);
-    atomic_write_file(path_, content_);
-    bytes_written_ += content_.size();
+FrameLog::FrameLog(std::string path, std::uint64_t config_hash,
+                   std::string_view header_tail, JournalOptions options)
+    : FrameLog(std::move(path), options) {
+    config_hash_ = config_hash;
+    std::string header;
+    put_u32(header, kLogVersion);
+    put_u64(header, config_hash);
+    header += header_tail;
+    // Creating the log is the caller's decision to start a run, not a
+    // mid-run commit: written unconditionally and atomically.
+    const std::string image = encode_frame(kHeaderKind, header);
+    atomic_write_file(path_, image);
+    bytes_written_ = logical_bytes_ = image.size();
 }
 
-FrameLog::FrameLog(std::string path, Kinds kinds, JournalOptions options,
-                   const FrameValidator& validate)
-    : path_(std::move(path)), kinds_(std::move(kinds)), options_(options) {
-    options_.io_retry.validate();
-    const std::string bytes = read_file(path_);
+FrameLog FrameLog::resume(std::string path, const Fold& fold, JournalOptions options) {
+    FrameLog log(std::move(path), options);
+    const std::string bytes = read_file(log.path_);
     const ScannedFrame head = scan_frame(bytes);
-    if (!head.valid || head.kind != kinds_.header)
-        throw JournalError("no valid header frame in " + path_);
-    if (validate && !validate(head.kind, head.payload))
-        throw JournalError("malformed header frame in " + path_);
-    header_payload_ = std::string(head.payload);
+    if (!head.valid || head.kind != kHeaderKind)
+        throw JournalError("no valid header frame in " + log.path_);
+    PayloadReader header(head.payload);
+    const std::uint32_t version = header.u32();
+    log.config_hash_ = header.u64();
+    if (header.ok() && version != kLogVersion)
+        throw JournalError("unsupported version " + std::to_string(version) + " in " +
+                           log.path_);
+    if (!header.ok() || !fold(kHeaderKind, header))
+        throw JournalError("malformed header frame in " + log.path_);
     std::size_t pos = head.size;
     while (pos < bytes.size()) {
         const ScannedFrame f = scan_frame(std::string_view(bytes).substr(pos));
-        if (!f.valid) break;  // torn tail from here on
-        if (!kinds_.accepted.empty() &&
-            std::find(kinds_.accepted.begin(), kinds_.accepted.end(), f.kind) ==
-                kinds_.accepted.end())
-            break;
-        if (validate && !validate(f.kind, f.payload)) break;  // CRC collided with garbage
-        frames_.push_back(Frame{f.kind, std::string(f.payload)});
+        if (!f.valid || f.kind == kHeaderKind) break;  // torn tail from here on
+        PayloadReader payload(f.payload);
+        if (!fold(f.kind, payload)) break;  // unknown kind, or CRC collided with garbage
         pos += f.size;
     }
-    tail_dropped_ = pos < bytes.size();
-    content_ = bytes.substr(0, pos);
-    if (tail_dropped_) {
-        // Scrub the torn bytes so Append-mode commits land after the
-        // last intact frame, not after garbage the decoder would stop at.
-        atomic_write_file(path_, content_);
-        bytes_written_ += content_.size();
+    log.tail_dropped_ = pos < bytes.size();
+    log.logical_bytes_ = pos;
+    if (log.tail_dropped_) {
+        // Scrub the torn bytes so commits land after the last intact
+        // frame, not after garbage the decoder would stop at.
+        atomic_write_file(log.path_, std::string_view(bytes).substr(0, pos));
+        log.bytes_written_ += pos;
     }
+    return log;
 }
 
-FrameLog FrameLog::resume(const std::string& path, Kinds kinds, JournalOptions options,
-                          const FrameValidator& validate) {
-    return FrameLog(path, std::move(kinds), options, validate);
+FrameLog FrameLog::open(std::string path, std::uint64_t config_hash,
+                        std::string_view header_tail, const Fold& fold,
+                        JournalOptions options) {
+    if (!file_exists(path))
+        return FrameLog(std::move(path), config_hash, header_tail, options);
+    FrameLog log = resume(std::move(path), fold, options);
+    if (log.config_hash_ != config_hash)
+        throw ConfigError(log.path_ + " belongs to a different configuration");
+    return log;
 }
 
-void FrameLog::write_frame(const std::string& frame_bytes) {
-    RetrySchedule sched(options_.io_retry, mix_seed(options_.io_retry_seed, commits_));
+void FrameLog::append(std::uint8_t kind, const std::string& payload) {
+    const std::string frame = encode_frame(kind, payload);
+    // The log never waits between attempts, so the backoff seed is moot.
+    RetrySchedule sched(options_.io_retry, 0);
     while (sched.next_attempt()) {
         if (sched.attempts() > 1) ++io_retries_;
         if (options_.file_faults != nullptr &&
@@ -168,28 +173,17 @@ void FrameLog::write_frame(const std::string& frame_bytes) {
                            commits_);
             continue;
         }
-        if (options_.mode == CommitMode::AtomicRewrite) {
-            atomic_write_file(path_, content_ + frame_bytes);
-            bytes_written_ += content_.size() + frame_bytes.size();
-        } else {
-            std::ofstream out(path_, std::ios::binary | std::ios::app);
-            out.write(frame_bytes.data(),
-                      static_cast<std::streamsize>(frame_bytes.size()));
-            out.flush();
-            if (!out) throw JournalError("append failed on " + path_);
-            bytes_written_ += frame_bytes.size();
-        }
-        content_ += frame_bytes;
+        std::ofstream out(path_, std::ios::binary | std::ios::app);
+        out.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+        out.flush();
+        if (!out) throw JournalError("append failed on " + path_);
+        bytes_written_ += frame.size();
+        logical_bytes_ += frame.size();
+        ++commits_;
         return;
     }
     throw JournalError("commit to " + path_ + " failed after " +
                        std::to_string(options_.io_retry.max_attempts) + " attempts");
-}
-
-void FrameLog::append(std::uint8_t kind, const std::string& payload) {
-    write_frame(encode_frame(kind, payload));
-    frames_.push_back(Frame{kind, payload});
-    ++commits_;
 }
 
 }  // namespace pv::resilience

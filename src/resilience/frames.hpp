@@ -1,33 +1,28 @@
-// PlugVolt — CRC-framed WAL building blocks.
+// PlugVolt — the CRC-framed record log every journal is built on.
 //
-// The sweep journal (journal.hpp) proved out a crash-tolerant on-disk
-// format: a header frame followed by record frames, each CRC-protected,
-// with torn tails dropped on replay.  The serving daemon needs the same
-// guarantees for two more logs (the campaign cell journal and the job
-// queue WAL), so the framing lives here as a public, record-agnostic
-// layer:
+// The sweep journal (journal.hpp), the campaign cell journal and the
+// daemon's job-queue WAL share one on-disk shape:
 //
-//   frame := magic:u16 ('P','V')  kind:u8  payload_len:u32  crc:u32  payload
+//   frame  := magic:u16 ('P','V')  kind:u8  payload_len:u32  crc:u32  payload
+//   file   := header-frame record-frame*
+//   header := version:u32  config_hash:u64  tail                  (kind 1)
 //
-// `FrameLog` is the generic append-only write-ahead log over that
-// framing: one header frame whose payload identifies the producer, then
-// any number of record frames.  Replay stops at the first frame that is
-// torn (bad magic/length/CRC), has an unexpected kind, or fails the
-// caller's payload validator — everything after is a crash artifact and
-// is scrubbed from the file so later appends cannot land after garbage.
+// `FrameLog` owns that shape: the header prefix, the version check, the
+// config-hash guard, torn-tail recovery and fault-injected commit retry.
+// A format contributes only its header tail, its record kinds and a
+// replay fold that decodes each frame once.  Replay stops at the first
+// frame that is torn (bad magic/length/CRC) or that the fold rejects
+// (unknown kind, failed decode) — everything after is a crash artifact
+// and is scrubbed from the file so later appends cannot land after
+// garbage.
 //
-// Two commit modes (the write-amplification trade bench_recovery
-// measures):
-//   Append        — append + flush one frame per commit;
-//   AtomicRewrite — rewrite the whole log through temp-file + rename per
-//                   commit, so every on-disk state is a complete log.
+// Each commit appends and flushes one frame.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "resilience/fault_injection.hpp"
 #include "resilience/retry.hpp"
@@ -49,14 +44,15 @@ void put_f64(std::string& out, double v);
 void put_str(std::string& out, std::string_view s);
 
 /// Bounds-checked little-endian reader over one payload.  A read past
-/// the end clears ok() and returns zero; decoders check ok() once at
+/// the end clears ok() and returns zero; decoders check done() once at
 /// the end instead of guarding every field.
 class PayloadReader {
 public:
     explicit PayloadReader(std::string_view bytes) : bytes_(bytes) {}
 
     [[nodiscard]] bool ok() const { return ok_; }
-    [[nodiscard]] bool exhausted() const { return pos_ == bytes_.size(); }
+    /// Every read succeeded and consumed the payload exactly.
+    [[nodiscard]] bool done() const { return ok_ && pos_ == bytes_.size(); }
 
     std::uint8_t u8() { return static_cast<std::uint8_t>(take(1)); }
     std::uint32_t u32() { return static_cast<std::uint32_t>(take(4)); }
@@ -89,98 +85,76 @@ struct ScannedFrame {
 
 [[nodiscard]] ScannedFrame scan_frame(std::string_view bytes);
 
-enum class CommitMode { Append, AtomicRewrite };
-
-[[nodiscard]] const char* to_string(CommitMode mode);
+/// Kind of the header frame in every log format.
+constexpr std::uint8_t kHeaderKind = 1;
 
 struct JournalOptions {
-    CommitMode mode = CommitMode::Append;
     /// Optional injected-fault source for commits (FileWriteError
     /// opportunities); not owned, may be nullptr.
     FaultInjector* file_faults = nullptr;
     /// Commit retry budget against injected file faults.
     RetryPolicy io_retry{};
-    /// Jitter stream for the commit retries.
-    std::uint64_t io_retry_seed = 0x10'FA17;
 };
 
-/// The generic CRC-framed append-only WAL.  One instance owns one file.
-/// Record semantics (what the payload bytes mean) belong to the caller;
-/// this class owns durability, torn-tail recovery, and fault-injected
-/// commit retry.
+/// The CRC-framed append-only write-ahead log.  One instance owns one
+/// file.  Record semantics (what the payload bytes mean) belong to the
+/// caller's fold; this class owns the header prefix, durability,
+/// torn-tail recovery, and fault-injected commit retry.
 class FrameLog {
 public:
-    struct Frame {
-        std::uint8_t kind = 0;
-        std::string payload;
-
-        friend bool operator==(const Frame&, const Frame&) = default;
-    };
-
-    /// The frame-kind contract of one log format.  `accepted` lists the
-    /// record kinds replay trusts; a CRC-valid frame of any other kind
-    /// is treated as a torn tail (a crash can tear exactly at a frame
-    /// boundary and leave bytes that happen to scan).  Empty = any kind.
-    struct Kinds {
-        std::uint8_t header = 1;
-        std::vector<std::uint8_t> accepted{};
-    };
-
-    /// Replay-time payload check: return false to treat the frame (and
-    /// everything after it) as a torn tail.
-    using FrameValidator = std::function<bool(std::uint8_t kind, std::string_view payload)>;
+    /// Replay fold: decode one frame and apply it to the caller's state.
+    /// Called first with kHeaderKind and the reader positioned at the
+    /// header tail, then once per record frame in file order.  Return
+    /// false, without applying anything, for an unknown kind or a
+    /// payload that does not decode exactly (PayloadReader::done()): a
+    /// record frame then starts the torn tail, a header is malformed.
+    using Fold = std::function<bool(std::uint8_t kind, PayloadReader& payload)>;
 
     /// Start a fresh log at `path` (truncating any previous file).  The
-    /// header image is written atomically in both modes so a
-    /// half-written header can never exist.
-    FrameLog(std::string path, Kinds kinds, const std::string& header_payload,
+    /// header frame is written atomically, so a half-written header can
+    /// never exist.
+    FrameLog(std::string path, std::uint64_t config_hash, std::string_view header_tail,
              JournalOptions options = {});
 
-    /// Reopen an existing log: replay its frames, scrub any torn tail
-    /// from the file, and position for further appends.  Throws
-    /// JournalError when the file has no valid header frame.
-    [[nodiscard]] static FrameLog resume(const std::string& path, Kinds kinds,
-                                         JournalOptions options = {},
-                                         const FrameValidator& validate = {});
+    /// Reopen an existing log: replay its frames through `fold`, scrub
+    /// any torn tail from the file, and position for further appends.
+    /// Throws JournalError when the file has no valid header frame or an
+    /// unsupported version.
+    [[nodiscard]] static FrameLog resume(std::string path, const Fold& fold,
+                                         JournalOptions options = {});
+
+    /// resume() when `path` exists, refusing (ConfigError) a log written
+    /// under another config_hash; otherwise start a fresh log.
+    [[nodiscard]] static FrameLog open(std::string path, std::uint64_t config_hash,
+                                       std::string_view header_tail, const Fold& fold,
+                                       JournalOptions options = {});
 
     /// Make one record durable (write-ahead: callers append BEFORE
     /// acting on the record).  Retries injected file faults up to the
     /// io_retry budget, then throws JournalError.
     void append(std::uint8_t kind, const std::string& payload);
 
-    [[nodiscard]] const std::string& header_payload() const { return header_payload_; }
-    /// Record frames durable in this log (replayed + appended), in
-    /// commit order; the header frame is not included.
-    [[nodiscard]] const std::vector<Frame>& frames() const { return frames_; }
+    [[nodiscard]] std::uint64_t config_hash() const { return config_hash_; }
     /// True when resume() dropped a torn tail.
     [[nodiscard]] bool tail_dropped() const { return tail_dropped_; }
-    [[nodiscard]] const std::string& path() const { return path_; }
-    [[nodiscard]] const JournalOptions& options() const { return options_; }
 
-    /// I/O accounting: logical log size vs bytes actually written
-    /// (write amplification), commits and fault retries.
+    /// I/O accounting: size of the valid log, bytes actually written,
+    /// commits and fault retries.
     [[nodiscard]] std::uint64_t commits() const { return commits_; }
     [[nodiscard]] std::uint64_t bytes_written() const { return bytes_written_; }
-    [[nodiscard]] std::uint64_t logical_bytes() const { return content_.size(); }
+    [[nodiscard]] std::uint64_t logical_bytes() const { return logical_bytes_; }
     [[nodiscard]] std::uint64_t io_retries() const { return io_retries_; }
 
 private:
-    FrameLog(std::string path, Kinds kinds, JournalOptions options,
-             const FrameValidator& validate);  // resume body
-
-    /// Write `frame` durably per the commit mode, retrying injected
-    /// faults; appends to content_ on success.
-    void write_frame(const std::string& frame_bytes);
+    FrameLog(std::string path, JournalOptions options);
 
     std::string path_;
-    Kinds kinds_;
     JournalOptions options_;
-    std::string header_payload_;
-    std::vector<Frame> frames_;
-    std::string content_;  // the valid byte image (logical log)
+    std::uint64_t config_hash_ = 0;
     bool tail_dropped_ = false;
     std::uint64_t commits_ = 0;
     std::uint64_t bytes_written_ = 0;
+    std::uint64_t logical_bytes_ = 0;
     std::uint64_t io_retries_ = 0;
 };
 

@@ -9,27 +9,21 @@
 // per-cell seeding scheme guarantees the final map is bit-identical to
 // an uninterrupted run's.
 //
-// On-disk format (version 1), built on the generic CRC framing in
-// frames.hpp (frame := magic:u16 kind:u8 payload_len:u32 crc:u32
-// payload, torn tails dropped and scrubbed on resume):
+// On-disk format, a FrameLog (frames.hpp: CRC frames, shared header
+// prefix, torn tails dropped and scrubbed on resume):
 //
 //   file   := header-frame row-frame*
 //   header := version:u32  config_hash:u64  seed:u64  sweep_floor:f64(bits)
 //             name_len:u32  name bytes                       (kind = 1)
 //   row    := row_index:u64  freq_mhz:f64  onset_mv:f64  crash_mv:f64
 //             fault_free:u8  cells:u64  crashes:u64           (kind = 2)
-//
-// Commit modes and fault-injected retry live in FrameLog (frames.hpp).
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
-#include "resilience/fault_injection.hpp"
 #include "resilience/frames.hpp"
-#include "resilience/retry.hpp"
 
 namespace pv::resilience {
 
@@ -38,7 +32,6 @@ namespace pv::resilience {
 /// hash does not match (adopting rows probed under a different protocol
 /// would silently corrupt the map).
 struct JournalHeader {
-    std::uint32_t version = 1;
     std::uint64_t config_hash = 0;
     std::uint64_t seed = 0;
     double sweep_floor_mv = 0.0;
@@ -61,25 +54,6 @@ struct RowRecord {
     friend bool operator==(const RowRecord&, const RowRecord&) = default;
 };
 
-/// Frame encoders, exposed for the property tests (round-trip and
-/// torn-tail recovery are tested at this layer).
-[[nodiscard]] std::string encode_header_frame(const JournalHeader& header);
-[[nodiscard]] std::string encode_row_frame(const RowRecord& record);
-
-/// Result of replaying a journal byte image.
-struct JournalReplay {
-    JournalHeader header;
-    std::vector<RowRecord> rows;
-    /// True when trailing bytes after the last valid frame were dropped.
-    bool tail_dropped = false;
-    /// Size of the valid prefix (header + intact frames).
-    std::size_t valid_bytes = 0;
-};
-
-/// Decode a journal byte image, dropping any torn tail.  Throws
-/// JournalError when the image does not start with a valid header frame.
-[[nodiscard]] JournalReplay decode_journal(std::string_view bytes);
-
 /// The write-ahead journal.  One instance owns one file.
 class SweepJournal {
 public:
@@ -92,6 +66,11 @@ public:
     [[nodiscard]] static SweepJournal resume(const std::string& path,
                                              JournalOptions options = {});
 
+    /// resume() when `path` exists (ConfigError when it was written
+    /// under another config_hash), otherwise a fresh journal.
+    [[nodiscard]] static SweepJournal open(const std::string& path, JournalHeader header,
+                                           JournalOptions options = {});
+
     /// Make one completed row durable (write-ahead: callers commit
     /// BEFORE acting on the row).  Retries injected file faults up to
     /// the io_retry budget, then throws JournalError.
@@ -102,22 +81,23 @@ public:
     [[nodiscard]] const std::vector<RowRecord>& rows() const { return rows_; }
     /// True when resume() dropped a torn tail.
     [[nodiscard]] bool tail_dropped() const { return log_.tail_dropped(); }
-    [[nodiscard]] const std::string& path() const { return log_.path(); }
-    [[nodiscard]] const JournalOptions& options() const { return log_.options(); }
 
-    /// I/O accounting for bench_recovery: logical journal size vs bytes
-    /// actually written (write amplification), commits and fault retries.
+    /// I/O accounting: valid journal size, bytes actually written,
+    /// commits and fault retries.
     [[nodiscard]] std::uint64_t commits() const { return log_.commits(); }
     [[nodiscard]] std::uint64_t bytes_written() const { return log_.bytes_written(); }
     [[nodiscard]] std::uint64_t logical_bytes() const { return log_.logical_bytes(); }
     [[nodiscard]] std::uint64_t io_retries() const { return log_.io_retries(); }
 
 private:
-    explicit SweepJournal(FrameLog&& log);  // resume body
+    /// Replay body of resume() (no `header`) and open().
+    SweepJournal(const std::string& path, const JournalHeader* header,
+                 JournalOptions options);
+    bool replay(std::uint8_t kind, PayloadReader& payload);
 
-    FrameLog log_;
     JournalHeader header_;
     std::vector<RowRecord> rows_;
+    FrameLog log_;  // last: its replay fills the members above
 };
 
 }  // namespace pv::resilience

@@ -83,8 +83,6 @@ struct DaemonConfig {
     /// faults; reseeded per cell/attempt by the engines, so injected
     /// faults replay bit-exactly across kill/resume cycles).
     std::optional<resilience::FaultPlan> fault_plan;
-    /// Durability options for the WAL and the per-job engine journals.
-    resilience::JournalOptions journal{};
 };
 
 enum class DvfsDecision : std::uint8_t {
@@ -191,7 +189,7 @@ public:
     [[nodiscard]] trace::MetricsSnapshot metrics() const;
 
     /// Fingerprint of the config fields that determine job results and
-    /// queue behaviour (NOT workers or journal IO options) — the WAL's
+    /// queue behaviour (NOT workers) — the WAL's
     /// header identity.
     [[nodiscard]] std::uint64_t config_hash() const { return config_hash_; }
 

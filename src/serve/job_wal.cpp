@@ -1,14 +1,12 @@
 #include "serve/job_wal.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
-
-#include "util/error.hpp"
 
 namespace pv::serve {
 namespace {
 
-constexpr std::uint8_t kHeaderKind = 1;
 constexpr std::uint8_t kSubmittedKind = 2;
 constexpr std::uint8_t kStartedKind = 3;
 constexpr std::uint8_t kAttemptFailedKind = 4;
@@ -23,36 +21,10 @@ using resilience::put_u32;
 using resilience::put_u64;
 using resilience::put_u8;
 
-std::string encode_header_payload(const JobWalHeader& header) {
-    std::string payload;
-    put_u32(payload, header.version);
-    put_u64(payload, header.config_hash);
-    return payload;
-}
-
-JobWalHeader decode_header_payload(std::string_view payload) {
-    PayloadReader r(payload);
-    JobWalHeader header;
-    header.version = r.u32();
-    header.config_hash = r.u64();
-    if (!r.ok() || !r.exhausted())
-        throw JournalError("malformed job WAL header payload");
-    if (header.version != 1)
-        throw JournalError("unsupported job WAL version " +
-                           std::to_string(header.version));
-    return header;
-}
-
 std::string encode_id_payload(std::uint64_t id) {
     std::string payload;
     put_u64(payload, id);
     return payload;
-}
-
-bool decode_id_payload(std::string_view payload, std::uint64_t& id) {
-    PayloadReader r(payload);
-    id = r.u64();
-    return r.ok() && r.exhausted();
 }
 
 std::string encode_attempt_payload(std::uint64_t id, std::uint32_t attempts) {
@@ -60,14 +32,6 @@ std::string encode_attempt_payload(std::uint64_t id, std::uint32_t attempts) {
     put_u64(payload, id);
     put_u32(payload, attempts);
     return payload;
-}
-
-bool decode_attempt_payload(std::string_view payload, std::uint64_t& id,
-                            std::uint32_t& attempts) {
-    PayloadReader r(payload);
-    id = r.u64();
-    attempts = r.u32();
-    return r.ok() && r.exhausted();
 }
 
 std::string encode_finished_payload(const JobRecord& record) {
@@ -80,41 +44,6 @@ std::string encode_finished_payload(const JobRecord& record) {
     put_str(payload, record.detail);
     return payload;
 }
-
-bool decode_finished_payload(std::string_view payload, JobRecord& record) {
-    PayloadReader r(payload);
-    record.id = r.u64();
-    record.state = static_cast<JobState>(r.u8());
-    record.result_fingerprint = r.u64();
-    record.attempts = r.u32();
-    record.progress_units = r.u64();
-    record.detail = r.str_lp();
-    return r.ok() && r.exhausted();
-}
-
-FrameLog::Kinds wal_kinds() {
-    return FrameLog::Kinds{kHeaderKind,
-                           {kSubmittedKind, kStartedKind, kAttemptFailedKind,
-                            kFinishedKind, kRejectedKind}};
-}
-
-bool validate_frame(std::uint8_t kind, std::string_view payload) {
-    std::uint64_t id = 0;
-    std::uint32_t attempts = 0;
-    JobSpec spec;
-    JobRecord record;
-    switch (kind) {
-        case kHeaderKind: return true;  // header decode errors throw in resume
-        case kSubmittedKind: return decode_spec_payload(payload, id, spec);
-        case kStartedKind:
-        case kRejectedKind: return decode_id_payload(payload, id);
-        case kAttemptFailedKind: return decode_attempt_payload(payload, id, attempts);
-        case kFinishedKind: return decode_finished_payload(payload, record);
-        default: return false;
-    }
-}
-
-}  // namespace
 
 std::string encode_spec_payload(std::uint64_t id, const JobSpec& spec) {
     std::string payload;
@@ -132,10 +61,7 @@ std::string encode_spec_payload(std::uint64_t id, const JobSpec& spec) {
     return payload;
 }
 
-bool decode_spec_payload(std::string_view payload, std::uint64_t& id, JobSpec& spec) {
-    PayloadReader r(payload);
-    spec = JobSpec{};
-    id = r.u64();
+void decode_spec(PayloadReader& r, JobSpec& spec) {
     spec.kind = static_cast<JobKind>(r.u8());
     spec.seed = r.u64();
     spec.profile_index = r.u64();
@@ -146,64 +72,72 @@ bool decode_spec_payload(std::string_view payload, std::uint64_t& id, JobSpec& s
     spec.campaign_attacks = r.u64();
     spec.campaign_defenses = r.u64();
     spec.inject_fail_attempts = r.u32();
-    return r.ok() && r.exhausted();
 }
 
-JobWal::JobWal(std::string path, JobWalHeader header,
-               resilience::JournalOptions options)
-    : log_(std::move(path), wal_kinds(), encode_header_payload(header), options),
-      header_(header) {}
+}  // namespace
 
-JobWal::JobWal(resilience::FrameLog&& log) : log_(std::move(log)) {
-    header_ = decode_header_payload(log_.header_payload());
-    // Replay keyed by id; the sorted FlatMap yields id-ordered records.
-    FlatMap<std::uint64_t, JobRecord> replay;
-    for (const FrameLog::Frame& f : log_.frames()) {
-        std::uint64_t id = 0;
-        std::uint32_t attempts = 0;
-        switch (f.kind) {
-            case kSubmittedKind: {
-                JobSpec spec;
-                (void)decode_spec_payload(f.payload, id, spec);  // validated in replay
-                JobRecord& record = replay[id];
-                record.id = id;
-                record.spec = spec;
-                record.state = JobState::Queued;
-                next_id_ = std::max(next_id_, id + 1);
-                break;
-            }
-            case kRejectedKind: {
-                (void)decode_id_payload(f.payload, id);
-                replay[id].state = JobState::Rejected;
-                break;
-            }
-            case kStartedKind:
-                // An execution began; without a finished frame the job
-                // replays as Queued and is re-run on resume.
-                break;
-            case kAttemptFailedKind: {
-                (void)decode_attempt_payload(f.payload, id, attempts);
-                JobRecord& record = replay[id];
-                record.attempts = std::max(record.attempts, attempts);
-                break;
-            }
-            case kFinishedKind: {
-                JobRecord record;
-                (void)decode_finished_payload(f.payload, record);
-                JobSpec spec = replay[record.id].spec;
-                replay[record.id] = record;
-                replay[record.id].spec = spec;
-                break;
-            }
-            default: break;
+JobWal::JobWal(const std::string& path, const std::uint64_t* config_hash)
+    : log_(config_hash != nullptr
+               ? FrameLog::open(path, *config_hash, {},
+                                std::bind_front(&JobWal::replay, this))
+               : FrameLog::resume(path, std::bind_front(&JobWal::replay, this))) {
+    records_.reserve(replayed_.size());
+    for (auto& [id, record] : replayed_) records_.push_back(std::move(record));
+    replayed_ = {};
+}
+
+JobWal JobWal::open(const std::string& path, std::uint64_t config_hash) {
+    return JobWal(path, &config_hash);
+}
+
+JobWal JobWal::resume(const std::string& path) { return JobWal(path, nullptr); }
+
+bool JobWal::replay(std::uint8_t kind, PayloadReader& r) {
+    if (kind == resilience::kHeaderKind) return r.done();  // no format tail
+    const std::uint64_t id = r.u64();  // every record frame leads with the job id
+    switch (kind) {
+        case kSubmittedKind: {
+            JobSpec spec;
+            decode_spec(r, spec);
+            if (!r.done()) return false;
+            JobRecord& record = replayed_[id];
+            record.id = id;
+            record.spec = spec;
+            record.state = JobState::Queued;
+            next_id_ = std::max(next_id_, id + 1);
+            return true;
         }
+        case kRejectedKind:
+            if (!r.done()) return false;
+            replayed_[id].state = JobState::Rejected;
+            return true;
+        case kStartedKind:
+            // An execution began; without a finished frame the job
+            // replays as Queued and is re-run on resume.
+            return r.done();
+        case kAttemptFailedKind: {
+            const std::uint32_t attempts = r.u32();
+            if (!r.done()) return false;
+            JobRecord& record = replayed_[id];
+            record.attempts = std::max(record.attempts, attempts);
+            return true;
+        }
+        case kFinishedKind: {
+            JobRecord finished;
+            finished.id = id;
+            finished.state = static_cast<JobState>(r.u8());
+            finished.result_fingerprint = r.u64();
+            finished.attempts = r.u32();
+            finished.progress_units = r.u64();
+            finished.detail = r.str_lp();
+            if (!r.done()) return false;
+            JobRecord& record = replayed_[id];
+            finished.spec = record.spec;
+            record = std::move(finished);
+            return true;
+        }
+        default: return false;
     }
-    records_.reserve(replay.size());
-    for (auto& [id, record] : replay) records_.push_back(std::move(record));
-}
-
-JobWal JobWal::resume(const std::string& path, resilience::JournalOptions options) {
-    return JobWal(FrameLog::resume(path, wal_kinds(), options, validate_frame));
 }
 
 void JobWal::submitted(std::uint64_t id, const JobSpec& spec) {

@@ -1,14 +1,14 @@
 // PlugVolt — the daemon's job-queue write-ahead log.
 //
-// Same CRC-framed format as every journal in src/resilience (FrameLog):
-// a header frame pins the daemon's config hash, then one frame per queue
+// The shared record log (resilience/frames.hpp FrameLog): a header
+// frame pins the daemon's config hash, then one frame per queue
 // transition, appended BEFORE the in-memory state changes.  kill -9 at
-// any byte boundary leaves at worst a torn tail, which resume() drops
+// any byte boundary leaves at worst a torn tail, which replay drops
 // and scrubs; everything before it replays into the exact queue the
 // killed daemon had made durable.
 //
 // Frame kinds:
-//   1 header         version, daemon config hash
+//   1 header         version, daemon config hash (no format tail)
 //   2 submitted      id + the full JobSpec
 //   3 started        id              (an execution began)
 //   4 attempt_failed id, attempts    (cumulative failed executions)
@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "resilience/frames.hpp"
@@ -34,30 +33,18 @@
 
 namespace pv::serve {
 
-struct JobWalHeader {
-    std::uint32_t version = 1;
-    std::uint64_t config_hash = 0;
-};
-
-/// Submit-frame payload codec, exposed for the WAL tests.
-[[nodiscard]] std::string encode_spec_payload(std::uint64_t id, const JobSpec& spec);
-[[nodiscard]] bool decode_spec_payload(std::string_view payload, std::uint64_t& id,
-                                       JobSpec& spec);
-
 /// The queue WAL.  NOT thread-safe: the daemon serializes every append
 /// under its own mutex.  Throws JournalError / IoError like the other
 /// journals (see resilience/frames.hpp).
 class JobWal {
 public:
-    /// Start a fresh WAL at `path` (created atomically with the header
-    /// frame; an existing file is replaced).
-    JobWal(std::string path, JobWalHeader header,
-           resilience::JournalOptions options = {});
+    /// Open the WAL at `path`: resume it when it exists (ConfigError
+    /// when it belongs to another `config_hash`), else start a fresh one.
+    [[nodiscard]] static JobWal open(const std::string& path, std::uint64_t config_hash);
 
     /// Recover a WAL off disk: CRC-validate every frame, drop and scrub
     /// a torn tail, replay the queue.
-    [[nodiscard]] static JobWal resume(const std::string& path,
-                                       resilience::JournalOptions options = {});
+    [[nodiscard]] static JobWal resume(const std::string& path);
 
     void submitted(std::uint64_t id, const JobSpec& spec);
     void rejected(std::uint64_t id);
@@ -65,28 +52,28 @@ public:
     void attempt_failed(std::uint64_t id, std::uint32_t attempts);
     void finished(const JobRecord& record);
 
-    [[nodiscard]] const JobWalHeader& header() const { return header_; }
+    [[nodiscard]] std::uint64_t config_hash() const { return log_.config_hash(); }
 
-    /// The replayed queue, in job-id order.  Only meaningful on a WAL
-    /// opened via resume(); terminal jobs carry their journaled
-    /// fingerprint, unfinished ones replay as Queued.
+    /// The replayed queue, in job-id order, as of opening the WAL;
+    /// terminal jobs carry their journaled fingerprint, unfinished ones
+    /// replay as Queued.
     [[nodiscard]] const std::vector<JobRecord>& records() const { return records_; }
 
     /// One past the highest journaled job id (1 on an empty WAL).
     [[nodiscard]] std::uint64_t next_id() const { return next_id_; }
 
     [[nodiscard]] bool tail_dropped() const { return log_.tail_dropped(); }
-    [[nodiscard]] const std::string& path() const { return log_.path(); }
-    [[nodiscard]] std::uint64_t commits() const { return log_.commits(); }
-    [[nodiscard]] std::uint64_t bytes_written() const { return log_.bytes_written(); }
 
 private:
-    explicit JobWal(resilience::FrameLog&& log);
+    JobWal(const std::string& path, const std::uint64_t* config_hash);
+    bool replay(std::uint8_t kind, resilience::PayloadReader& payload);
 
-    resilience::FrameLog log_;
-    JobWalHeader header_;
+    /// Replay keyed by id (emptied into records_ once open): the sorted
+    /// FlatMap yields id-ordered records.
+    FlatMap<std::uint64_t, JobRecord> replayed_;
     std::vector<JobRecord> records_;
     std::uint64_t next_id_ = 1;
+    resilience::FrameLog log_;  // last: its replay fills the members above
 };
 
 }  // namespace pv::serve

@@ -75,14 +75,14 @@ TEST(FleetResumeSoak, KillAndResumeIsBitIdenticalAcrossSeeds) {
         EXPECT_GE(recovered.rows().size(), kill_after * fleet.row_stride());
         EXPECT_LT(recovered.rows().size(), kUnits * fleet.row_stride());
 
-        EXPECT_EQ(state_hash(fleet.resume(recovered)), reference);
+        EXPECT_EQ(state_hash(fleet.characterize(recovered)), reference);
         EXPECT_GE(fleet.stats().units_resumed, kill_after);
         EXPECT_EQ(fleet.stats().units, kUnits);
         // The resumed journal now holds the full fleet: a second resume
         // adopts every unit without probing a single cell.
         resilience::SweepJournal complete = resilience::SweepJournal::resume(path, {});
         EXPECT_EQ(complete.rows().size(), kUnits * fleet.row_stride());
-        EXPECT_EQ(state_hash(fleet.resume(complete)), reference);
+        EXPECT_EQ(state_hash(fleet.characterize(complete)), reference);
         EXPECT_EQ(fleet.stats().cells_evaluated, 0u);
         EXPECT_EQ(fleet.stats().units_resumed, kUnits);
         std::remove(path.c_str());

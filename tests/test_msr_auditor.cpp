@@ -60,11 +60,14 @@ protected:
 
 TEST_F(MsrAuditorTest, LegitimateSafeTrafficIsClean) {
     MsrAuditor auditor(kernel_, {.map = &map_});
-    kernel_.msr().wrmsr(0, 0, sim::kMsrOcMailbox,
-                        sim::encode_offset(Millivolts{-50.0}, sim::VoltagePlane::Core));
+    EXPECT_EQ(kernel_.msr()
+                  .try_wrmsr(0, 0, sim::kMsrOcMailbox,
+                             sim::encode_offset(Millivolts{-50.0}, sim::VoltagePlane::Core))
+                  .status,
+              os::MsrStatus::Ok);
     machine_.advance(machine_.rail_settle_time() - machine_.now());
-    (void)kernel_.msr().rdmsr(0, 0, sim::kMsrPerfStatus);
-    (void)kernel_.msr().rdmsr(0, 0, sim::kMsrOcMailbox);
+    EXPECT_EQ(kernel_.msr().try_rdmsr(0, 0, sim::kMsrPerfStatus).status, os::MsrStatus::Ok);
+    EXPECT_EQ(kernel_.msr().try_rdmsr(0, 0, sim::kMsrOcMailbox).status, os::MsrStatus::Ok);
     EXPECT_TRUE(auditor.violations().empty());
     EXPECT_GE(auditor.audited_accesses(), 3u);
 }
@@ -85,8 +88,11 @@ TEST_F(MsrAuditorTest, RejectsUnsafeWriteThatBypassesThePollingGuard) {
     const auto [freq, offset] = unsafe_point();
     raise_all_to(freq);
     ASSERT_FALSE(kernel_.module_loaded(plugvolt::PollingModule::kModuleName));
-    kernel_.msr().wrmsr(0, 0, sim::kMsrOcMailbox,
-                        sim::encode_offset(offset, sim::VoltagePlane::Core));
+    EXPECT_EQ(kernel_.msr()
+                  .try_wrmsr(0, 0, sim::kMsrOcMailbox,
+                             sim::encode_offset(offset, sim::VoltagePlane::Core))
+                  .status,
+              os::MsrStatus::Ok);
     ASSERT_EQ(auditor.violations().size(), 1u);
     EXPECT_EQ(auditor.violations()[0].kind, AuditKind::UnsafeWrite);
 }
@@ -98,16 +104,22 @@ TEST_F(MsrAuditorTest, SameUnsafeWriteIsGuardedTrafficWithTheModuleLoaded) {
     plugvolt::PollingConfig config;
     ASSERT_TRUE(kernel_.load_module(std::make_shared<plugvolt::PollingModule>(map_, config)));
     auditor.clear();  // module init traffic is not under test
-    kernel_.msr().wrmsr(0, 0, sim::kMsrOcMailbox,
-                        sim::encode_offset(offset, sim::VoltagePlane::Core));
+    EXPECT_EQ(kernel_.msr()
+                  .try_wrmsr(0, 0, sim::kMsrOcMailbox,
+                             sim::encode_offset(offset, sim::VoltagePlane::Core))
+                  .status,
+              os::MsrStatus::Ok);
     for (const AuditViolation& v : auditor.violations())
         EXPECT_NE(v.kind, AuditKind::UnsafeWrite) << v.detail;
 }
 
 TEST_F(MsrAuditorTest, FlagsOffsetDeeperThanTheAuditedFloor) {
     MsrAuditor auditor(kernel_, {.map = &map_});  // floor = map sweep floor (-300 mV)
-    kernel_.msr().wrmsr(0, 0, sim::kMsrOcMailbox,
-                        sim::encode_offset(Millivolts{-350.0}, sim::VoltagePlane::Core));
+    EXPECT_EQ(kernel_.msr()
+                  .try_wrmsr(0, 0, sim::kMsrOcMailbox,
+                             sim::encode_offset(Millivolts{-350.0}, sim::VoltagePlane::Core))
+                  .status,
+              os::MsrStatus::Ok);
     bool saw_range = false;
     for (const AuditViolation& v : auditor.violations())
         saw_range |= v.kind == AuditKind::OffsetOutOfRange;
@@ -119,7 +131,8 @@ TEST_F(MsrAuditorTest, FlagsMalformedPlaneEncoding) {
     // Plane field (bits 40-42) = 5: unassigned; command + write-enable set.
     const std::uint64_t forged =
         (1ULL << 63) | (5ULL << 40) | (1ULL << 32) | (0x7F0ULL << 21);
-    kernel_.msr().wrmsr(0, 0, sim::kMsrOcMailbox, forged);
+    EXPECT_EQ(kernel_.msr().try_wrmsr(0, 0, sim::kMsrOcMailbox, forged).status,
+              os::MsrStatus::Ok);
     ASSERT_EQ(auditor.violations().size(), 1u);
     EXPECT_EQ(auditor.violations()[0].kind, AuditKind::MalformedMailbox);
 }
@@ -128,22 +141,28 @@ TEST_F(MsrAuditorTest, NoEffectWritesAreNotValidated) {
     MsrAuditor auditor(kernel_, {.map = &map_});
     // Write-enable missing: hardware treats it as a no-op, so does the audit.
     const std::uint64_t no_effect = (1ULL << 63) | (0ULL << 40);
-    kernel_.msr().wrmsr(0, 0, sim::kMsrOcMailbox, no_effect);
+    EXPECT_EQ(kernel_.msr().try_wrmsr(0, 0, sim::kMsrOcMailbox, no_effect).status,
+              os::MsrStatus::Ok);
     EXPECT_TRUE(auditor.violations().empty());
 }
 
 TEST_F(MsrAuditorTest, FlagsStalePerfStatusReadMidTransition) {
     MsrAuditor auditor(kernel_, {.map = &map_});
-    kernel_.msr().wrmsr(0, 0, sim::kMsrOcMailbox,
-                        sim::encode_offset(Millivolts{-80.0}, sim::VoltagePlane::Core));
+    EXPECT_EQ(kernel_.msr()
+                  .try_wrmsr(0, 0, sim::kMsrOcMailbox,
+                             sim::encode_offset(Millivolts{-80.0}, sim::VoltagePlane::Core))
+                  .status,
+              os::MsrStatus::Ok);
     ASSERT_LT(machine_.now(), machine_.rail_settle_time());
-    (void)kernel_.msr().rdmsr(0, 0, sim::kMsrPerfStatus);  // rail still slewing
+    // rail still slewing
+    EXPECT_EQ(kernel_.msr().try_rdmsr(0, 0, sim::kMsrPerfStatus).status, os::MsrStatus::Ok);
     ASSERT_EQ(auditor.violations().size(), 1u);
     EXPECT_EQ(auditor.violations()[0].kind, AuditKind::StaleStatusRead);
 
     auditor.clear();
     machine_.advance(machine_.rail_settle_time() - machine_.now());
-    (void)kernel_.msr().rdmsr(0, 0, sim::kMsrPerfStatus);  // settled: fine
+    // settled: fine
+    EXPECT_EQ(kernel_.msr().try_rdmsr(0, 0, sim::kMsrPerfStatus).status, os::MsrStatus::Ok);
     EXPECT_TRUE(auditor.violations().empty());
 }
 
@@ -156,8 +175,11 @@ TEST_F(MsrAuditorTest, DetachesOnDestruction) {
     // No auditor attached: traffic flows unobserved, nothing crashes.
     machine_.write_msr(0, sim::kMsrOcMailbox,
                        sim::encode_offset(Millivolts{-50.0}, sim::VoltagePlane::Core));
-    kernel_.msr().wrmsr(0, 0, sim::kMsrOcMailbox,
-                        sim::encode_offset(Millivolts{-40.0}, sim::VoltagePlane::Core));
+    EXPECT_EQ(kernel_.msr()
+                  .try_wrmsr(0, 0, sim::kMsrOcMailbox,
+                             sim::encode_offset(Millivolts{-40.0}, sim::VoltagePlane::Core))
+                  .status,
+              os::MsrStatus::Ok);
 }
 
 #if PV_CHECK_LEVEL >= 1

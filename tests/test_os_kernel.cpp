@@ -106,9 +106,9 @@ TEST(MsrDriver, LocalAndRemoteCosts) {
     EXPECT_EQ(msr.read_cost(true).value(), costs.rdmsr_cycles + costs.ipi_cycles);
     EXPECT_EQ(msr.write_cost(true).value(), costs.wrmsr_cycles + costs.ipi_cycles);
 
-    (void)msr.rdmsr(0, 0, sim::kMsrPerfStatus);
+    EXPECT_EQ(msr.try_rdmsr(0, 0, sim::kMsrPerfStatus).status, MsrStatus::Ok);
     EXPECT_EQ(msr.total_cost_cycles(), costs.rdmsr_cycles);
-    (void)msr.rdmsr(0, 3, sim::kMsrPerfStatus);
+    EXPECT_EQ(msr.try_rdmsr(0, 3, sim::kMsrPerfStatus).status, MsrStatus::Ok);
     EXPECT_EQ(msr.total_cost_cycles(), 2 * costs.rdmsr_cycles + costs.ipi_cycles);
 }
 
@@ -116,7 +116,7 @@ TEST(MsrDriver, IoctlAddsTransitionOverhead) {
     Fixture fx;
     MsrDriver& msr = fx.kernel.msr();
     const auto& costs = fx.machine.profile().costs;
-    (void)msr.ioctl_rdmsr(1, 1, sim::kMsrPerfStatus);
+    EXPECT_EQ(msr.try_ioctl_rdmsr(1, 1, sim::kMsrPerfStatus).status, MsrStatus::Ok);
     EXPECT_EQ(msr.total_cost_cycles(), costs.ioctl_overhead_cycles + costs.rdmsr_cycles);
     // Cost lands on the calling core as stolen time.
     EXPECT_GT(fx.machine.core(1).pending_steal().value(), 0);
@@ -124,8 +124,11 @@ TEST(MsrDriver, IoctlAddsTransitionOverhead) {
 
 TEST(MsrDriver, WritesGoThroughMachineSemantics) {
     Fixture fx;
-    fx.kernel.msr().wrmsr(0, 0, sim::kMsrOcMailbox,
-                          sim::encode_offset(Millivolts{-30.0}, sim::VoltagePlane::Core));
+    EXPECT_EQ(fx.kernel.msr()
+                  .try_wrmsr(0, 0, sim::kMsrOcMailbox,
+                             sim::encode_offset(Millivolts{-30.0}, sim::VoltagePlane::Core))
+                  .status,
+              MsrStatus::Ok);
     fx.machine.advance_to(fx.machine.rail_settle_time());
     EXPECT_NEAR(fx.machine.applied_offset(sim::VoltagePlane::Core).value(), -30.0, 1.0);
 }

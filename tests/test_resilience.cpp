@@ -1,22 +1,30 @@
-// Crash-resilience layer: CRC framing, write-ahead sweep journal,
+// Crash-resilience layer: CRC framing, the shared record log and its
+// three formats (sweep journal, campaign cell journal, daemon job WAL),
 // deterministic environment fault injection, bounded retry, and the
 // fail-safe degradation paths they feed (characterizer mailbox retry,
 // journaled resume, polling fail-closed clamp).
 #include "resilience/crc32.hpp"
 #include "resilience/fault_injection.hpp"
+#include "resilience/frames.hpp"
 #include "resilience/journal.hpp"
 #include "resilience/retry.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "campaign/journal.hpp"
 #include "os/msr_driver.hpp"
 #include "plugvolt/parallel_characterizer.hpp"
 #include "plugvolt/polling_module.hpp"
 #include "prop/prop.hpp"
+#include "serve/job_wal.hpp"
 #include "sim/ocm.hpp"
 #include "test_helpers.hpp"
 #include "util/error.hpp"
@@ -182,7 +190,11 @@ TEST(FaultInjector, RateEndpointsAndCounters) {
     EXPECT_EQ(injector.injected_total(), 16u);
 }
 
-// -------------------------------------------------------------- journal
+// ----------------------------------------------------------- record logs
+//
+// SweepJournal, CampaignJournal and JobWal are each one FrameLog.  The
+// byte-image tests write an image to disk and reopen it through the
+// format's own resume path, so they run the replay production runs.
 
 RowRecord sample_row(std::uint64_t i) {
     return RowRecord{
@@ -196,30 +208,228 @@ RowRecord sample_row(std::uint64_t i) {
     };
 }
 
-std::string journal_image(const JournalHeader& header, std::uint64_t rows) {
-    std::string bytes = encode_header_frame(header);
-    for (std::uint64_t i = 0; i < rows; ++i) bytes += encode_row_frame(sample_row(i));
-    return bytes;
-}
-
-TEST(Journal, HeaderAndRowsRoundTrip) {
+JournalHeader sample_header(const std::string& name) {
     JournalHeader header;
     header.config_hash = 0xDEADBEEFCAFE;
     header.seed = 0x5EED;
     header.sweep_floor_mv = -300.0;
-    header.system_name = "test-system, with comma";
-    const JournalReplay replay = decode_journal(journal_image(header, 5));
-    EXPECT_EQ(replay.header, header);
-    ASSERT_EQ(replay.rows.size(), 5u);
-    for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(replay.rows[i], sample_row(i));
-    EXPECT_FALSE(replay.tail_dropped);
+    header.system_name = name;
+    return header;
+}
+
+/// A cell with every optional part present: polling counters and a
+/// metrics snapshot holding a counter, a gauge and a histogram.
+campaign::CampaignCellResult sample_cell(std::uint64_t i) {
+    campaign::CampaignCellResult cell;
+    cell.spec.index = i;
+    cell.spec.attack = campaign::AttackKind::VoltJockey;
+    cell.spec.defense = campaign::DefenseKind::PollingMaximalSafe;
+    cell.spec.profile_index = 2;
+    cell.spec.seed = 0xFACE'0000 + i;
+    cell.profile_name = "Comet Lake";
+    cell.attack_result.attack_name = "voltjockey";
+    cell.attack_result.faults_observed = 3;
+    cell.attack_result.weaponized = true;
+    cell.attack_result.weaponization = "key";
+    cell.attack_result.crashes = 2;
+    cell.attack_result.writes_attempted = 40;
+    cell.attack_result.writes_effective = 9;
+    cell.attack_result.started = Picoseconds{1'000};
+    cell.attack_result.finished = Picoseconds{9'000'000};
+    cell.attack_result.notes = "n";
+    plugvolt::PollingMetrics p;
+    p.polls = 100;
+    p.detections = 4;
+    p.restore_writes = 4;
+    p.freq_drops = 1;
+    p.rail_watch_detections = 2;
+    p.read_retries = 3;
+    p.write_retries = 5;
+    p.stale_reads = 6;
+    p.missed_polls = 7;
+    p.fail_closed_clamps = 8;
+    p.last_detection = Picoseconds{77'000};
+    cell.polling = p;
+    cell.audit_violations = 1;
+    cell.audited_accesses = 50;
+    cell.machine_state_hash = 0x0123'4567'89AB'CDEF;
+    cell.attempts = 3;
+    cell.machine_rebuilds = 2;
+    cell.verdict = "faults leaked (3)";
+    cell.metrics.set_counter("cell.attempts", 3);
+    cell.metrics.set_gauge("cell.duration_us", 9.5);
+    trace::MetricValue h;
+    h.kind = trace::MetricValue::Kind::Histogram;
+    h.count = 4;
+    h.value = 12.25;
+    h.bounds = {1.0, 10.0};
+    h.buckets = {1, 2, 1};
+    cell.metrics.set("polling.latency_us", h);
+    return cell;
+}
+
+constexpr campaign::CampaignJournalHeader kCampaignHeader{0xCAFE'F00D'0000'0001, 0x5EED,
+                                                          216};
+
+serve::JobSpec sample_spec() {
+    serve::JobSpec spec;
+    spec.kind = serve::JobKind::Fleet;
+    spec.seed = 0x5EED;
+    spec.profile_index = 1;
+    spec.char_step_mv = 5.0;
+    spec.sweep_mode = 2;
+    spec.units = 4;
+    spec.deadline_units = 90;
+    spec.campaign_attacks = 2;
+    spec.campaign_defenses = 3;
+    spec.inject_fail_attempts = 1;
+    return spec;
+}
+
+serve::JobRecord sample_finished() {
+    serve::JobRecord record;
+    record.id = 1;
+    record.spec = sample_spec();
+    record.state = serve::JobState::Completed;
+    record.result_fingerprint = 0xFEED'BEEF;
+    record.attempts = 2;
+    record.progress_units = 4;
+    record.detail = "4 units";
+    return record;
+}
+
+constexpr std::uint64_t kWalConfigHash = 0xDAE'0000'0000'0042;
+
+/// Commit record `i` of a fixed WAL history that uses every frame kind.
+void commit_wal_record(serve::JobWal& wal, std::size_t i) {
+    switch (i) {
+        case 0: wal.submitted(1, sample_spec()); break;
+        case 1: wal.started(1); break;
+        case 2: wal.attempt_failed(1, 1); break;
+        case 3: wal.finished(sample_finished()); break;
+        case 4: wal.submitted(2, serve::JobSpec{}); break;
+        case 5: wal.rejected(2); break;
+        case 6: wal.submitted(3, serve::JobSpec{}); break;
+        default: wal.started(3); break;
+    }
+}
+
+/// What reopening a log replayed: a canonical description of the
+/// format's state, and whether a torn tail was dropped.
+struct Replayed {
+    std::string state;
+    bool tail_dropped = false;
+};
+
+/// One record-log format under test.  `write` starts a fresh log at
+/// `path` holding the header and the first `n` records of the format's
+/// fixed history; `reopen` replays `path`.
+struct LogFormat {
+    std::string name;
+    std::size_t records = 0;
+    std::function<void(const std::string& path, std::size_t n)> write;
+    std::function<Replayed(const std::string& path)> reopen;
+};
+
+std::vector<LogFormat> log_formats() {
+    LogFormat sweep{"sweep", 6, {}, {}};
+    sweep.write = [](const std::string& path, std::size_t n) {
+        SweepJournal journal(path, sample_header("format"));
+        for (std::size_t i = 0; i < n; ++i) journal.commit(sample_row(i));
+    };
+    sweep.reopen = [](const std::string& path) {
+        const SweepJournal journal = SweepJournal::resume(path);
+        std::ostringstream os;
+        EXPECT_EQ(journal.header(), sample_header("format"));
+        for (const RowRecord& row : journal.rows())
+            os << row.row_index << ' ' << row.freq_mhz << ' ' << row.onset_mv << ' '
+               << row.crash_mv << ' ' << row.fault_free << ' ' << row.cells << ' '
+               << row.crashes << ';';
+        return Replayed{os.str(), journal.tail_dropped()};
+    };
+
+    // Cells and attempt frames alternate; attempt frame i is for cell i.
+    LogFormat cube{"campaign", 6, {}, {}};
+    cube.write = [](const std::string& path, std::size_t n) {
+        std::remove(path.c_str());
+        campaign::CampaignJournal journal(path, kCampaignHeader);
+        for (std::size_t i = 0; i < n; ++i) {
+            if (i % 2 == 0)
+                journal.commit_cell(sample_cell(i));
+            else
+                journal.commit_attempt(i, static_cast<std::uint32_t>(i));
+        }
+    };
+    cube.reopen = [](const std::string& path) {
+        const campaign::CampaignJournal journal(path, kCampaignHeader);
+        EXPECT_EQ(journal.header(), kCampaignHeader);
+        std::ostringstream os;
+        for (const campaign::CampaignCellResult& cell : journal.cells())
+            os << "cell " << campaign::fingerprint(cell) << ';';
+        for (std::uint64_t i = 0; i < 8; ++i) os << journal.attempts_failed(i) << ';';
+        return Replayed{os.str(), journal.tail_dropped()};
+    };
+
+    LogFormat wal{"wal", 8, {}, {}};
+    wal.write = [](const std::string& path, std::size_t n) {
+        std::remove(path.c_str());
+        serve::JobWal log = serve::JobWal::open(path, kWalConfigHash);
+        for (std::size_t i = 0; i < n; ++i) commit_wal_record(log, i);
+    };
+    wal.reopen = [](const std::string& path) {
+        const serve::JobWal log = serve::JobWal::resume(path);
+        EXPECT_EQ(log.config_hash(), kWalConfigHash);
+        std::ostringstream os;
+        os << "next " << log.next_id() << ';';
+        for (const serve::JobRecord& r : log.records())
+            os << r.id << ' ' << serve::to_string(r.state) << ' ' << r.attempts << ' '
+               << r.result_fingerprint << ' ' << r.progress_units << ' ' << r.detail << ' '
+               << (r.spec == sample_spec()) << ';';
+        return Replayed{os.str(), log.tail_dropped()};
+    };
+    return {sweep, cube, wal};
+}
+
+/// Replayed state and end offset of every record prefix of `format`'s
+/// history; leaves the whole history on disk at `path`.
+struct Prefixes {
+    std::vector<std::string> state;
+    std::vector<std::size_t> end;
+};
+
+Prefixes prefixes(const LogFormat& format, const std::string& path) {
+    Prefixes p;
+    for (std::size_t n = 0; n <= format.records; ++n) {
+        format.write(path, n);
+        p.end.push_back(static_cast<std::size_t>(std::filesystem::file_size(path)));
+        const Replayed replayed = format.reopen(path);
+        EXPECT_FALSE(replayed.tail_dropped);
+        p.state.push_back(replayed.state);
+    }
+    return p;
+}
+
+TEST(Journal, HeaderAndRowsRoundTrip) {
+    const std::string path = temp_path("round_trip");
+    const JournalHeader header = sample_header("test-system, with comma");
+    {
+        SweepJournal journal(path, header);
+        for (std::uint64_t i = 0; i < 5; ++i) journal.commit(sample_row(i));
+    }
+    const SweepJournal replay = SweepJournal::resume(path);
+    EXPECT_EQ(replay.header(), header);
+    ASSERT_EQ(replay.rows().size(), 5u);
+    for (std::uint64_t i = 0; i < 5; ++i) EXPECT_EQ(replay.rows()[i], sample_row(i));
+    EXPECT_FALSE(replay.tail_dropped());
+    std::remove(path.c_str());
 }
 
 TEST(Journal, RowRoundTripProperty) {
-    // Encode/decode round-trip over random row records, bit-exact
+    // Commit/resume round-trip over random row records, bit-exact
     // doubles included (they travel as bit patterns).
+    const std::string path = temp_path("row_property");
     PROP_CHECK(0xB17'0001, 200,
-               [](std::int64_t a, std::int64_t b, std::int64_t c) {
+               [&path](std::int64_t a, std::int64_t b, std::int64_t c) {
                    RowRecord r;
                    r.row_index = static_cast<std::uint64_t>(a);
                    r.freq_mhz = 400.0 + static_cast<double>(b) * 0.37;
@@ -228,67 +438,224 @@ TEST(Journal, RowRoundTripProperty) {
                    r.fault_free = (a % 2) == 0;
                    r.cells = static_cast<std::uint64_t>(b);
                    r.crashes = static_cast<std::uint64_t>(c % 3);
-                   const JournalReplay replay = decode_journal(
-                       encode_header_frame(JournalHeader{}) + encode_row_frame(r));
-                   return replay.rows.size() == 1 && replay.rows[0] == r &&
-                          !replay.tail_dropped;
+                   SweepJournal(path, JournalHeader{}).commit(r);
+                   const SweepJournal replay = SweepJournal::resume(path);
+                   return replay.rows().size() == 1 && replay.rows()[0] == r &&
+                          !replay.tail_dropped();
                },
                prop::IntDomain{0, 1'000'000}, prop::IntDomain{0, 1 << 20},
                prop::IntDomain{0, 100'000});
+    std::remove(path.c_str());
 }
 
 TEST(Journal, TruncationAtAnyPointRecoversTheIntactPrefix) {
-    // The write-ahead contract: however many bytes survive a crash, the
-    // decoder recovers every fully committed row and drops the torn
-    // tail — it never throws past a valid header and never fabricates.
-    JournalHeader header;
-    header.system_name = "trunc";
-    const std::string bytes = journal_image(header, 6);
-    const std::string head = encode_header_frame(header);
-    for (std::size_t cut = head.size(); cut < bytes.size(); ++cut) {
-        const JournalReplay replay = decode_journal(bytes.substr(0, cut));
-        EXPECT_LE(replay.rows.size(), 6u);
-        for (std::size_t i = 0; i < replay.rows.size(); ++i)
-            EXPECT_EQ(replay.rows[i], sample_row(i));
-        EXPECT_EQ(replay.tail_dropped, replay.valid_bytes < cut);
+    // The write-ahead contract: however many bytes survive a crash,
+    // replay recovers every fully committed record, drops the torn tail
+    // and scrubs it from the file — it never throws past a valid header
+    // and never fabricates.
+    for (const LogFormat& format : log_formats()) {
+        SCOPED_TRACE(format.name);
+        const std::string path = temp_path("trunc_" + format.name);
+        const Prefixes p = prefixes(format, path);
+        const std::string bytes = read_file(path);
+        for (std::size_t cut = p.end.front(); cut < bytes.size(); ++cut) {
+            atomic_write_file(path, std::string_view(bytes).substr(0, cut));
+            const auto k = static_cast<std::size_t>(
+                std::upper_bound(p.end.begin(), p.end.end(), cut) - p.end.begin() - 1);
+            const Replayed replayed = format.reopen(path);
+            EXPECT_EQ(replayed.state, p.state[k]) << "cut at " << cut;
+            EXPECT_EQ(replayed.tail_dropped, cut != p.end[k]) << "cut at " << cut;
+            EXPECT_EQ(std::filesystem::file_size(path), p.end[k]) << "cut at " << cut;
+        }
+        std::remove(path.c_str());
     }
 }
 
 TEST(Journal, CorruptedRowByteDropsThatRowAndBeyond) {
-    JournalHeader header;
-    header.system_name = "flip";
-    std::string bytes = journal_image(header, 4);
-    const std::size_t head = encode_header_frame(header).size();
-    const std::size_t row = encode_row_frame(sample_row(0)).size();
-    bytes[head + 2 * row + row / 2] ^= 0x40;  // inside row 2's frame
-    const JournalReplay replay = decode_journal(bytes);
-    ASSERT_EQ(replay.rows.size(), 2u);
-    EXPECT_TRUE(replay.tail_dropped);
-    EXPECT_EQ(replay.rows[0], sample_row(0));
-    EXPECT_EQ(replay.rows[1], sample_row(1));
+    for (const LogFormat& format : log_formats()) {
+        SCOPED_TRACE(format.name);
+        const std::string path = temp_path("flip_" + format.name);
+        const Prefixes p = prefixes(format, path);
+        std::string bytes = read_file(path);
+        bytes[(p.end[2] + p.end[3]) / 2] ^= 0x40;  // inside record 2's frame
+        atomic_write_file(path, bytes);
+        const Replayed replayed = format.reopen(path);
+        EXPECT_TRUE(replayed.tail_dropped);
+        EXPECT_EQ(replayed.state, p.state[2]);
+        std::remove(path.c_str());
+    }
 }
 
 TEST(Journal, MissingOrMalformedHeaderThrows) {
-    EXPECT_THROW((void)decode_journal(""), JournalError);
-    EXPECT_THROW((void)decode_journal("not a journal at all"), JournalError);
-    // A row frame first is not a journal either.
-    EXPECT_THROW((void)decode_journal(encode_row_frame(sample_row(0))), JournalError);
+    for (const LogFormat& format : log_formats()) {
+        SCOPED_TRACE(format.name);
+        const std::string path = temp_path("header_" + format.name);
+        const Prefixes p = prefixes(format, path);
+        const std::string bytes = read_file(path);
+        const ScannedFrame header = scan_frame(bytes);
+        ASSERT_TRUE(header.valid);
+        std::string version_2(header.payload);
+        version_2[0] = 2;
+        for (const std::string& image :
+             {std::string(), std::string("not a journal at all"),
+              // A record frame first is not a log either.
+              bytes.substr(p.end.front()),
+              // Nor is a header of a version this code does not write.
+              encode_frame(kHeaderKind, version_2) + bytes.substr(p.end.front())}) {
+            atomic_write_file(path, image);
+            EXPECT_THROW((void)format.reopen(path), JournalError);
+        }
+        std::remove(path.c_str());
+    }
+}
+
+TEST(Journal, OpenResumesOrStartsFreshAndGuardsTheConfigHash) {
+    const std::string path = temp_path("open");
+    std::remove(path.c_str());
+    const JournalHeader header = sample_header("open");
+    SweepJournal::open(path, header).commit(sample_row(0));
+    {
+        SweepJournal journal = SweepJournal::open(path, header);
+        EXPECT_EQ(journal.header(), header);
+        ASSERT_EQ(journal.rows().size(), 1u);
+        journal.commit(sample_row(1));
+    }
+    EXPECT_EQ(SweepJournal::open(path, header).rows().size(), 2u);
+    JournalHeader other = header;
+    other.config_hash ^= 1;
+    EXPECT_THROW((void)SweepJournal::open(path, other), ConfigError);
+
+    campaign::CampaignJournalHeader other_cube = kCampaignHeader;
+    other_cube.config_hash ^= 1;
+    std::remove(path.c_str());
+    { const campaign::CampaignJournal journal(path, kCampaignHeader); }
+    EXPECT_THROW((void)campaign::CampaignJournal(path, other_cube), ConfigError);
+
+    std::remove(path.c_str());
+    (void)serve::JobWal::open(path, kWalConfigHash);
+    EXPECT_THROW((void)serve::JobWal::open(path, kWalConfigHash ^ 1), ConfigError);
+    std::remove(path.c_str());
+}
+
+TEST(Journal, CampaignCellCodecKeepsTheFingerprint) {
+    // Every field campaign::fingerprint() mixes survives the cell codec,
+    // the metrics snapshot included.
+    const std::string path = temp_path("cell_codec");
+    std::remove(path.c_str());
+    campaign::CampaignCellResult plain = sample_cell(4);
+    plain.polling.reset();
+    plain.metrics = {};
+    {
+        campaign::CampaignJournal journal(path, kCampaignHeader);
+        journal.commit_cell(sample_cell(3));
+        journal.commit_cell(plain);
+    }
+    const campaign::CampaignJournal journal(path, kCampaignHeader);
+    const std::vector<campaign::CampaignCellResult> cells = journal.cells();
+    ASSERT_EQ(cells.size(), 2u);
+    EXPECT_EQ(campaign::fingerprint(cells[0]), campaign::fingerprint(sample_cell(3)));
+    EXPECT_EQ(cells[0].metrics, sample_cell(3).metrics);
+    EXPECT_EQ(cells[0].polling.has_value(), true);
+    EXPECT_EQ(campaign::fingerprint(cells[1]), campaign::fingerprint(plain));
+    EXPECT_FALSE(cells[1].polling.has_value());
+    EXPECT_TRUE(cells[1].metrics.empty());
+    std::remove(path.c_str());
+}
+
+TEST(Journal, CampaignAttemptFramesReplayMaxWins) {
+    // Attempt frames from pool workers may land out of order; the
+    // largest journaled count per cell wins, live and on replay.
+    const std::string path = temp_path("attempts");
+    std::remove(path.c_str());
+    {
+        campaign::CampaignJournal journal(path, kCampaignHeader);
+        journal.commit_attempt(3, 1);
+        journal.commit_attempt(5, 1);
+        journal.commit_attempt(3, 4);
+        journal.commit_attempt(3, 2);
+        EXPECT_EQ(journal.attempts_failed(3), 4u);
+    }
+    const campaign::CampaignJournal journal(path, kCampaignHeader);
+    EXPECT_EQ(journal.attempts_failed(3), 4u);
+    EXPECT_EQ(journal.attempts_failed(5), 1u);
+    EXPECT_EQ(journal.attempts_failed(7), 0u);
+    EXPECT_TRUE(journal.cells().empty());
+    std::remove(path.c_str());
+}
+
+/// The image at `path` has the pinned length and CRC-32, as the first
+/// release of its format wrote it.
+void expect_pinned(const std::string& path, std::size_t size, std::uint32_t crc) {
+    const std::string bytes = read_file(path);
+    EXPECT_EQ(bytes.size(), size);
+    EXPECT_EQ(crc32(bytes), crc);
+}
+
+TEST(Journal, FormatsMatchTheirPinnedBytes) {
+    // Logs written before the formats moved onto the shared replay must
+    // still resume: each format encodes a header plus one record of
+    // every kind to the pinned bytes, and replays them back.
+    const std::string path = temp_path("pinned");
+    JournalHeader header = sample_header("pin-part");
+    header.config_hash = 0xC0FF'EE00'1234'5678;
+    const RowRecord row{.row_index = 7, .freq_mhz = 2300.0, .onset_mv = -141.0,
+                        .crash_mv = -196.5, .fault_free = false, .cells = 23,
+                        .crashes = 1};
+    SweepJournal(path, header).commit(row);
+    expect_pinned(path, 51 + 60, 0x76C3E40Du);  // header + row frame
+    const SweepJournal sweep = SweepJournal::resume(path);
+    EXPECT_EQ(sweep.header(), header);
+    EXPECT_EQ(sweep.rows(), std::vector<RowRecord>{row});
+
+    std::remove(path.c_str());
+    {
+        campaign::CampaignJournal journal(path, kCampaignHeader);
+        journal.commit_cell(sample_cell(5));
+        journal.commit_attempt(6, 2);
+    }
+    expect_pinned(path, 39 + 442 + 23, 0xA01335EDu);  // header + cell + attempt frame
+    const campaign::CampaignJournal cube(path, kCampaignHeader);
+    ASSERT_EQ(cube.cells().size(), 1u);
+    EXPECT_EQ(campaign::fingerprint(cube.cells()[0]),
+              campaign::fingerprint(sample_cell(5)));
+    EXPECT_EQ(cube.attempts_failed(6), 2u);
+
+    std::remove(path.c_str());
+    {
+        serve::JobWal wal = serve::JobWal::open(path, kWalConfigHash);
+        for (std::size_t i = 0; i < 6; ++i) commit_wal_record(wal, i);
+    }
+    // header, submitted, started, attempt_failed, finished, submitted, rejected
+    expect_pinned(path, 23 + 81 + 19 + 23 + 51 + 81 + 19, 0xE5DD2659u);
+    const serve::JobWal wal = serve::JobWal::resume(path);
+    EXPECT_EQ(wal.next_id(), 3u);
+    ASSERT_EQ(wal.records().size(), 2u);
+    const serve::JobRecord& done = wal.records()[0];
+    const serve::JobRecord expect = sample_finished();
+    EXPECT_EQ(done.spec, expect.spec);
+    EXPECT_EQ(done.state, expect.state);
+    EXPECT_EQ(done.result_fingerprint, expect.result_fingerprint);
+    EXPECT_EQ(done.attempts, expect.attempts);
+    EXPECT_EQ(done.progress_units, expect.progress_units);
+    EXPECT_EQ(done.detail, expect.detail);
+    EXPECT_EQ(wal.records()[1].spec, serve::JobSpec{});
+    EXPECT_EQ(wal.records()[1].state, serve::JobState::Rejected);
+    std::remove(path.c_str());
 }
 
 TEST(SweepJournal, CommitResumeScrubsTornTail) {
     const std::string path = temp_path("torn_tail");
-    JournalHeader header;
-    header.config_hash = 0xABCD;
-    header.system_name = "scrub";
+    const JournalHeader header = sample_header("scrub");
     {
         SweepJournal journal(path, header, JournalOptions{});
         journal.commit(sample_row(0));
         journal.commit(sample_row(1));
     }
-    // Crash mid-commit: garbage after the last intact frame.
+    // Crash mid-commit: the first 7 bytes of a row frame after the last
+    // intact frame.
     {
         std::string bytes = read_file(path);
-        bytes += encode_row_frame(sample_row(2)).substr(0, 7);
+        bytes += encode_frame(2, std::string(61, '\0')).substr(0, 7);
         atomic_write_file(path, bytes);
     }
     SweepJournal recovered = SweepJournal::resume(path, JournalOptions{});
@@ -304,24 +671,6 @@ TEST(SweepJournal, CommitResumeScrubsTornTail) {
     std::remove(path.c_str());
 }
 
-TEST(SweepJournal, AtomicRewriteModeRoundTripsToo) {
-    const std::string path = temp_path("rewrite_mode");
-    JournalOptions options;
-    options.mode = CommitMode::AtomicRewrite;
-    JournalHeader header;
-    header.system_name = "rewrite";
-    {
-        SweepJournal journal(path, header, options);
-        journal.commit(sample_row(0));
-        journal.commit(sample_row(1));
-        // Rewrite mode pays write amplification for torn-tail immunity.
-        EXPECT_GT(journal.bytes_written(), journal.logical_bytes());
-    }
-    SweepJournal recovered = SweepJournal::resume(path, options);
-    EXPECT_EQ(recovered.rows().size(), 2u);
-    std::remove(path.c_str());
-}
-
 TEST(SweepJournal, InjectedFileFaultsRetryThenExhaust) {
     const std::string path = temp_path("file_faults");
     FaultPlan plan;
@@ -330,8 +679,7 @@ TEST(SweepJournal, InjectedFileFaultsRetryThenExhaust) {
     JournalOptions options;
     options.file_faults = &injector;
     options.io_retry.max_attempts = 10;
-    JournalHeader header;
-    header.system_name = "faulty-disk";
+    const JournalHeader header = sample_header("faulty-disk");
     {
         SweepJournal journal(path, header, options);
         for (std::uint64_t i = 0; i < 8; ++i) journal.commit(sample_row(i));
@@ -358,13 +706,19 @@ TEST(MsrDriverFaults, StatusesSurfaceAndLegacyApiThrows) {
     test::MachineRig rig(11);
     FaultPlan plan;
     plan.set_rate(FaultKind::RdmsrError, 1.0);
+    plan.set_rate(FaultKind::WrmsrError, 1.0);
     FaultInjector injector(plan);
     rig.kernel.msr().set_fault_injector(&injector);
 
     const os::MsrReadResult r = rig.kernel.msr().try_rdmsr(0, 0, sim::kMsrPerfStatus);
     EXPECT_EQ(r.status, os::MsrStatus::IoError);
-    EXPECT_THROW((void)rig.kernel.msr().rdmsr(0, 0, sim::kMsrPerfStatus), DriverError);
+    EXPECT_EQ(rig.kernel.msr().try_ioctl_rdmsr(0, 0, sim::kMsrPerfStatus).status,
+              os::MsrStatus::IoError);
     EXPECT_EQ(rig.kernel.msr().fault_counters().read_errors, 2u);
+    // ioctl_wrmsr, the one throwing access, raises what try_* reports.
+    EXPECT_THROW((void)rig.kernel.msr().ioctl_wrmsr(0, 0, sim::kMsrOcMailbox, 0),
+                 DriverError);
+    EXPECT_EQ(rig.kernel.msr().fault_counters().write_errors, 1u);
 
     // Detaching restores the clean path bit-for-bit.
     rig.kernel.msr().set_fault_injector(nullptr);
@@ -495,7 +849,7 @@ TEST(JournaledSweep, MatchesPlainSweepAndResumesForFree) {
 
     // Resuming a COMPLETE journal adopts every row: zero probes.
     SweepJournal full = SweepJournal::resume(path, JournalOptions{});
-    EXPECT_EQ(plugvolt::state_hash(engine.resume(full)), plain_hash);
+    EXPECT_EQ(plugvolt::state_hash(engine.characterize(full)), plain_hash);
     EXPECT_EQ(engine.stats().cells_evaluated, 0u);
     EXPECT_EQ(engine.stats().rows_resumed, engine.stats().rows);
     std::remove(path.c_str());
@@ -520,7 +874,7 @@ TEST(JournaledSweep, KillMidSweepThenResumeIsBitIdentical) {
     }
     SweepJournal recovered = SweepJournal::resume(path, JournalOptions{});
     EXPECT_GE(recovered.rows().size(), 3u);
-    EXPECT_EQ(plugvolt::state_hash(engine.resume(recovered)), reference);
+    EXPECT_EQ(plugvolt::state_hash(engine.characterize(recovered)), reference);
     EXPECT_GE(engine.stats().rows_resumed, 3u);
     std::remove(path.c_str());
 }
@@ -533,7 +887,7 @@ TEST(JournaledSweep, ConfigMismatchIsRejected) {
 
     plugvolt::ParallelCharacterizer other(profile, sweep_config(2));
     EXPECT_NE(engine.config_hash(), other.config_hash());
-    EXPECT_THROW((void)other.resume(journal), ConfigError);
+    EXPECT_THROW((void)other.characterize(journal), ConfigError);
     std::remove(path.c_str());
 }
 

@@ -68,7 +68,7 @@ TEST(ResumeSoak, KillAndResumeIsBitIdenticalAcrossSeeds) {
         EXPECT_GE(recovered.rows().size(), kill_after);
         EXPECT_LT(recovered.rows().size(), rows);
 
-        EXPECT_EQ(state_hash(engine.resume(recovered)), reference);
+        EXPECT_EQ(state_hash(engine.characterize(recovered)), reference);
         EXPECT_GE(engine.stats().rows_resumed, kill_after);
         EXPECT_EQ(engine.stats().rows, rows);
         std::remove(path.c_str());

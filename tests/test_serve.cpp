@@ -64,7 +64,7 @@ TEST(JobWal, RoundTripsRecordsThroughResume) {
     spec.seed = 0x1234;
     JobRecord finished;
     {
-        JobWal wal(path, JobWalHeader{1, 0xABCD});
+        JobWal wal = JobWal::open(path, 0xABCD);
         EXPECT_EQ(wal.next_id(), 1u);
         wal.submitted(1, spec);
         wal.started(1);
@@ -85,7 +85,7 @@ TEST(JobWal, RoundTripsRecordsThroughResume) {
     }
 
     JobWal recovered = JobWal::resume(path);
-    EXPECT_EQ(recovered.header().config_hash, 0xABCDu);
+    EXPECT_EQ(recovered.config_hash(), 0xABCDu);
     EXPECT_EQ(recovered.next_id(), 4u);
     EXPECT_EQ(recovered.tail_dropped(), 0u);
     ASSERT_EQ(recovered.records().size(), 3u);
@@ -111,7 +111,7 @@ TEST(JobWal, StartedWithoutFinishedReplaysQueuedWithAttempts) {
     std::filesystem::create_directories(dir);
     const std::string path = dir + "/queue.wal";
     {
-        JobWal wal(path, JobWalHeader{1, 7});
+        JobWal wal = JobWal::open(path, 7);
         wal.submitted(1, characterize_spec());
         wal.started(1);
         wal.attempt_failed(1, 1);
@@ -130,7 +130,7 @@ TEST(JobWal, TornTailIsDroppedNotFatal) {
     std::filesystem::create_directories(dir);
     const std::string path = dir + "/queue.wal";
     {
-        JobWal wal(path, JobWalHeader{1, 7});
+        JobWal wal = JobWal::open(path, 7);
         wal.submitted(1, characterize_spec());
         wal.submitted(2, fleet_spec());
     }
